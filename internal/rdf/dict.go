@@ -54,10 +54,15 @@ func NewDictionary() *Dictionary {
 // Encode interns a term, returning its ID (allocating one if new). Write
 // lock only; see the concurrency contract above.
 func (d *Dictionary) Encode(t Term) ID {
-	k := t.key()
-	if id, ok := d.byKey[k]; ok {
+	// Most terms a load encodes are already interned (predicates,
+	// classes, shared literals), so probe with a stack-built key, as
+	// Lookup does, and allocate the key string only for a new term.
+	var arr [128]byte
+	kb := t.appendKey(arr[:0])
+	if id, ok := d.byKey[string(kb)]; ok {
 		return id
 	}
+	k := string(kb)
 	d.terms = append(d.terms, t)
 	id := ID(len(d.terms))
 	d.byKey[k] = id

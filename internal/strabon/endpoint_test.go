@@ -305,3 +305,28 @@ func TestEndpointAcceptNegotiation(t *testing.T) {
 		})
 	}
 }
+
+// TestEndpointDeepNestingIs400 is the regression test for a request
+// that used to kill the process: a body just under maxRequestBody that
+// nests one FILTER expression ~half a million parentheses deep overflowed
+// the goroutine stack in the parser, a fatal error no handler recovery
+// can catch. The parser's nesting bound turns it into a 400.
+func TestEndpointDeepNestingIs400(t *testing.T) {
+	_, ep := endpointFixture(t)
+	const head, tail = `SELECT ?s WHERE { ?s ?p ?o FILTER(`, `) }`
+	n := (maxRequestBody - len(head) - len(tail) - len("?o") - 64) / 2
+	body := head + strings.Repeat("(", n) + "?o" + strings.Repeat(")", n) + tail
+	if len(body) > maxRequestBody || len(body) < maxRequestBody-128 {
+		t.Fatalf("body %d bytes, want just under %d", len(body), maxRequestBody)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/sparql", strings.NewReader(body))
+	req.Header.Set("Content-Type", "application/sparql-query")
+	w := httptest.NewRecorder()
+	ep.ServeHTTP(w, req)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %.200s", w.Code, w.Body)
+	}
+	if !strings.Contains(w.Body.String(), "nesting deeper than") {
+		t.Fatalf("body %.200q does not name the nesting bound", w.Body)
+	}
+}

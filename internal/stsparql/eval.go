@@ -835,23 +835,23 @@ func mergeCompatible(a, b Binding) (Binding, bool) {
 	return out, true
 }
 
-// usesBoundFn reports whether the expression calls bound(); such filters
-// must wait for the end of the group (OPTIONAL may bind later).
-func usesBoundFn(e Expr) bool {
+// callsAny reports whether the expression calls a function named in
+// names (lower-cased, as CallExpr.Name).
+func callsAny(e Expr, names map[string]bool) bool {
 	switch v := e.(type) {
 	case *CallExpr:
-		if v.Name == "bound" {
+		if names[v.Name] {
 			return true
 		}
 		for _, a := range v.Args {
-			if usesBoundFn(a) {
+			if callsAny(a, names) {
 				return true
 			}
 		}
 	case *BinaryExpr:
-		return usesBoundFn(v.L) || usesBoundFn(v.R)
+		return callsAny(v.L, names) || callsAny(v.R, names)
 	case *UnaryExpr:
-		return usesBoundFn(v.X)
+		return callsAny(v.X, names)
 	}
 	return false
 }

@@ -30,11 +30,32 @@ func Parse(src string, ns *rdf.Namespaces) (*Query, error) {
 	return q, nil
 }
 
+// maxNestingDepth bounds how deeply a request may nest parenthesised
+// expressions, unary operator chains, group graph patterns and
+// sub-selects. The parser and every later walk over the AST recurse per
+// level, so without a bound a single crafted request (a megabyte of
+// "((((...") overflows the goroutine stack — a fatal error no recover
+// can catch. Real queries nest a handful of levels.
+const maxNestingDepth = 128
+
 type parser struct {
-	toks []token
-	pos  int
-	ns   *rdf.Namespaces
+	toks  []token
+	pos   int
+	ns    *rdf.Namespaces
+	depth int // current nesting depth (see maxNestingDepth)
 }
+
+// enter descends one nesting level, failing past maxNestingDepth; every
+// successful enter is paired with a deferred leave.
+func (p *parser) enter() error {
+	if p.depth >= maxNestingDepth {
+		return p.errf("nesting deeper than %d levels", maxNestingDepth)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) cur() token { return p.toks[p.pos] }
 
@@ -136,6 +157,10 @@ func (p *parser) parseQuery() (*Query, error) {
 }
 
 func (p *parser) parseSelect() (*SelectQuery, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
@@ -401,6 +426,10 @@ func (p *parser) parseTemplate() ([]TriplePattern, error) {
 }
 
 func (p *parser) parseGroupPattern() (*GroupPattern, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
@@ -599,7 +628,13 @@ func numberTerm(text string) rdf.Term {
 
 // --- expressions ---
 
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
+	return p.parseOr()
+}
 
 func (p *parser) parseOr() (Expr, error) {
 	l, err := p.parseAnd()
@@ -686,6 +721,10 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 
 func (p *parser) parseUnary() (Expr, error) {
 	if t := p.cur(); t.kind == tokOp && (t.text == "!" || t.text == "-") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		p.advance()
 		x, err := p.parseUnary()
 		if err != nil {

@@ -14,8 +14,11 @@ import (
 // maintained statistics (StatSource), pushes filters down to the
 // earliest point where their variables are certainly bound, routes
 // R-tree-servable geometry patterns through window scans, and picks hash
-// joins for large or disconnected intermediate results. Explain renders
-// the chosen plan.
+// joins for large or disconnected intermediate results. Two ordering
+// rules run cheap, selective steps before costly ones: fan-out patterns
+// join at the end of their group (fanoutLast), and exact spatial filters
+// wait for cheap checks on their candidates (checksPending). Explain
+// renders the chosen plan.
 
 // StatSource is an optional Source extension providing the cardinality
 // statistics the planner costs join orders with. All methods must be
@@ -282,12 +285,25 @@ func (p *planner) planGroup(gp *GroupPattern, bound map[string]bool, inEst float
 		}
 	}
 	applied := make(map[*FilterElement]bool)
+	lateMarks := fanoutLast(gp, bound)
+	var late []TriplePattern
 
 	for _, el := range gp.Elements {
 		switch v := el.(type) {
 		case *BGPElement:
+			pats := v.Patterns
+			if marks := lateMarks[v]; marks != nil {
+				pats = nil
+				for i, pat := range v.Patterns {
+					if marks[i] {
+						late = append(late, pat)
+					} else {
+						pats = append(pats, pat)
+					}
+				}
+			}
 			var ops []operator
-			ops, inEst = p.planBGP(v.Patterns, filters, applied, bound, inEst, buffered, schema)
+			ops, inEst = p.planBGP(pats, filters, applied, bound, inEst, buffered, schema)
 			g.ops = append(g.ops, ops...)
 		case *FilterElement:
 			// applied at group end (or pushed into a BGP)
@@ -348,7 +364,156 @@ func (p *planner) planGroup(gp *GroupPattern, bound map[string]bool, inEst float
 			g.ops = append(g.ops, newFilterOp(f.Cond, false))
 		}
 	}
+	// Fan-out patterns join last, over the rows the rest of the group
+	// kept (see fanoutLast).
+	if len(late) > 0 {
+		ops, _ := p.planBGP(late, nil, nil, bound, inEst, buffered, schema)
+		g.ops = append(g.ops, ops...)
+	}
 	return g
+}
+
+// fanoutLast picks the fan-out patterns of gp's basic graph patterns
+// that join after everything else in the group: patterns like
+// ?h ?hProperty ?hObject, which multiply every row by the subject's
+// out-degree and feed nothing but the result. A pattern qualifies when
+// its predicate is a variable unbound on entry, its subject variable is
+// bound by another (non-deferred) pattern of the same BGP, and its fresh
+// variables (the predicate, and the object unless bound on entry) occur
+// nowhere else in the group — no other pattern, FILTER, OPTIONAL, UNION,
+// nested group or sub-select. Deferring such a pattern B past the rest
+// of the group is sound: (A⋈B)⟕C ≡ (A⟕C)⋈B when vars(B)∩vars(C) ⊆
+// vars(A), joins commute, and no filter reads B's fresh variables. The
+// result maps each BGP with deferred patterns to a per-pattern mark; it
+// is nil when no pattern qualifies.
+func fanoutLast(gp *GroupPattern, bound map[string]bool) map[*BGPElement][]bool {
+	candidate := func(pat TriplePattern) bool {
+		return pat.P.IsVar() && !bound[pat.P.Var] && pat.S.IsVar()
+	}
+	found := false
+	for _, el := range gp.Elements {
+		if b, ok := el.(*BGPElement); ok && len(b.Patterns) > 1 {
+			for _, pat := range b.Patterns {
+				found = found || candidate(pat)
+			}
+		}
+	}
+	if !found {
+		return nil
+	}
+
+	// uses counts every occurrence of each variable in the group: once
+	// per pattern component, once per filter or nested element naming it.
+	uses := map[string]int{}
+	for _, el := range gp.Elements {
+		if b, ok := el.(*BGPElement); ok {
+			for _, pat := range b.Patterns {
+				for _, tv := range []TermOrVar{pat.S, pat.P, pat.O} {
+					if tv.IsVar() {
+						uses[tv.Var]++
+					}
+				}
+			}
+			continue
+		}
+		vars := map[string]bool{}
+		elementMentions(el, vars)
+		for v := range vars {
+			uses[v]++
+		}
+	}
+	fresh := func(pat TriplePattern, v string) bool {
+		own := 0
+		for _, tv := range []TermOrVar{pat.S, pat.P, pat.O} {
+			if tv.Var == v {
+				own++
+			}
+		}
+		return uses[v] == own
+	}
+
+	var out map[*BGPElement][]bool
+	for _, el := range gp.Elements {
+		b, ok := el.(*BGPElement)
+		if !ok || len(b.Patterns) < 2 {
+			continue
+		}
+		fanout := make([]bool, len(b.Patterns))
+		for i, pat := range b.Patterns {
+			fanout[i] = candidate(pat) && fresh(pat, pat.P.Var) &&
+				(!pat.O.IsVar() || bound[pat.O.Var] || fresh(pat, pat.O.Var))
+		}
+		// Only a pattern that is not itself a fan-out anchors the subject.
+		marks := make([]bool, len(b.Patterns))
+		deferred := false
+		for i, pat := range b.Patterns {
+			if !fanout[i] {
+				continue
+			}
+			for j, other := range b.Patterns {
+				if !fanout[j] && (other.S.Var == pat.S.Var || other.P.Var == pat.S.Var || other.O.Var == pat.S.Var) {
+					marks[i], deferred = true, true
+					break
+				}
+			}
+		}
+		if deferred {
+			if out == nil {
+				out = map[*BGPElement][]bool{}
+			}
+			out[b] = marks
+		}
+	}
+	return out
+}
+
+// elementMentions collects every variable a group element names
+// anywhere: in its patterns, filters, nested groups, and (for a
+// sub-select) its projection, grouping, HAVING and ORDER BY.
+func elementMentions(el PatternElement, out map[string]bool) {
+	switch v := el.(type) {
+	case *BGPElement:
+		for _, pat := range v.Patterns {
+			for _, tv := range []TermOrVar{pat.S, pat.P, pat.O} {
+				if tv.IsVar() {
+					out[tv.Var] = true
+				}
+			}
+		}
+	case *FilterElement:
+		exprVars(v.Cond, out)
+	case *OptionalElement:
+		elementMentions(v.Pattern, out)
+	case *UnionElement:
+		for _, br := range v.Branches {
+			elementMentions(br, out)
+		}
+	case *GroupPattern:
+		if v == nil {
+			return
+		}
+		for _, sub := range v.Elements {
+			elementMentions(sub, out)
+		}
+	case *SubSelectElement:
+		q := v.Select
+		for _, item := range q.Projection {
+			out[item.Var] = true
+			if item.Expr != nil {
+				exprVars(item.Expr, out)
+			}
+		}
+		elementMentions(q.Where, out)
+		for _, e := range q.GroupBy {
+			exprVars(e, out)
+		}
+		for _, e := range q.Having {
+			exprVars(e, out)
+		}
+		for _, k := range q.OrderBy {
+			exprVars(k.Expr, out)
+		}
+	}
 }
 
 // planBGP orders a basic graph pattern's triples by cardinality
@@ -431,28 +596,58 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 
 		// Push down any filter whose variables just became certainly
 		// bound (bound() must wait for the group end: OPTIONAL may bind
-		// later).
-		for _, f := range filters {
-			if applied[f] {
-				continue
-			}
-			vars := map[string]bool{}
-			exprVars(f.Cond, vars)
-			all := true
-			for v := range vars {
-				if !bound[v] {
-					all = false
-					break
+		// later). Exact geometry tests go last: they run after the cheap
+		// filters of the same round, and wait while a remaining pattern
+		// can still check the candidates cheaply.
+		checksPending := p.checksPending(remaining, bound)
+		for _, exact := range []bool{false, true} {
+			for _, f := range filters {
+				if applied[f] || callsAny(f.Cond, spatialJoinFns) != exact || (exact && checksPending) {
+					continue
 				}
-			}
-			if all && !usesBoundFn(f.Cond) {
-				applied[f] = true
-				ops = append(ops, newFilterOp(f.Cond, true))
-				inEst *= eagerFilterSelectivity
+				vars := map[string]bool{}
+				exprVars(f.Cond, vars)
+				all := true
+				for v := range vars {
+					if !bound[v] {
+						all = false
+						break
+					}
+				}
+				if all && !callsAny(f.Cond, boundFn) {
+					applied[f] = true
+					ops = append(ops, newFilterOp(f.Cond, true))
+					inEst *= eagerFilterSelectivity
+				}
 			}
 		}
 	}
 	return ops, inEst
+}
+
+// boundFn names bound(): filters calling it wait for the group end,
+// since an OPTIONAL may still bind the variable.
+var boundFn = map[string]bool{"bound": true}
+
+// checksPending reports whether a remaining pattern is a cheap check on
+// rows already produced: its subject is bound, its predicate constant,
+// and it finds at most one match per row by estimate — a type test like
+// ?c a coast:Coastline, or a functional property like
+// ?a clc:hasLandUse ?use. Exact geometry tests wait for such patterns
+// (and the filters they enable): an R-tree window returns every
+// geometry near the probe, most of which a type join rejects far more
+// cheaply than the exact predicate would (predicate migration,
+// Hellerstein & Stonebraker, SIGMOD 1993).
+func (p *planner) checksPending(remaining []TriplePattern, bound map[string]bool) bool {
+	if p.stats == nil {
+		return false
+	}
+	for _, pat := range remaining {
+		if pat.S.IsVar() && bound[pat.S.Var] && !pat.P.IsVar() && p.estimateFanout(pat, bound) <= 1 {
+			return true
+		}
+	}
+	return false
 }
 
 // estimateFanout estimates how many matches one input row finds in the

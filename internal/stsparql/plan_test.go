@@ -67,7 +67,10 @@ WHERE {
 // acquisition-scope filter is pushed directly below the pattern binding
 // ?at, and the land-cover geometry (the second basic graph pattern — the
 // parser splits subject blocks) is joined through an R-tree window scan
-// as soon as the plan reaches it, with ?hGeo already bound.
+// with ?hGeo bound, once per hotspot. The window's candidates meet the
+// cheap checks — the clc:Area type join, the land-use join and its
+// filter — before the exact coveredBy test, and the fan-out pattern
+// ?h ?hProperty ?hObject joins last, over the hotspots that survived.
 func TestExplainInvalidForFiresGolden(t *testing.T) {
 	q := mustParse(t, invalidForFiresQuery)
 	got, err := NewEvaluator(clcFixture()).Explain(q)
@@ -79,12 +82,56 @@ func TestExplainInvalidForFiresGolden(t *testing.T) {
   join[bind] {?h <http://teleios.di.uoa.gr/ontologies/noaOntology.owl#hasAcquisitionDateTime> ?at} on h est=3
   filter[pushed] (str(?at) = "2007-08-24T18:15:00")
   join[bind] {?h <http://strdf.di.uoa.gr/ontology#hasGeometry> ?hGeo} on h est=0.75
-  join[bind] {?h ?hProperty ?hObject} on h est=3
-  join[window] {?a <http://strdf.di.uoa.gr/ontology#hasGeometry> ?aGeo} est=0.21
-  filter[pushed] strdf:coveredby(?hGeo, ?aGeo)
+  join[window] {?a <http://strdf.di.uoa.gr/ontology#hasGeometry> ?aGeo} est=0.053
   join[bind] {?a <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://teleios.di.uoa.gr/ontologies/clcOntology.owl#Area>} on a est=0.0075
   join[bind] {?a <http://teleios.di.uoa.gr/ontologies/clcOntology.owl#hasLandUse> ?use} on a est=0.0075
   filter[pushed] ((?use = <http://teleios.di.uoa.gr/ontologies/clcOntology.owl#NonIrrigatedArableLand>) || (?use = <http://teleios.di.uoa.gr/ontologies/clcOntology.owl#ContinuousUrbanFabric>))
+  filter[pushed] strdf:coveredby(?hGeo, ?aGeo)
+  join[bind] {?h ?hProperty ?hObject} on h est=0.0019
+`
+	if got != want {
+		t.Fatalf("explain mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+const deleteInSeaQuery = `
+DELETE { ?h ?hProperty ?hObject }
+WHERE {
+  ?h a noa:Hotspot ;
+     noa:hasAcquisitionDateTime ?at ;
+     strdf:hasGeometry ?hGeo ;
+     ?hProperty ?hObject .
+  FILTER( str(?at) = "2007-08-24T18:15:00" )
+  OPTIONAL {
+    ?c a coast:Coastline ;
+       strdf:hasGeometry ?cGeo .
+    FILTER( strdf:anyInteract(?hGeo, ?cGeo) )
+  }
+  FILTER( !bound(?c) )
+}`
+
+// TestExplainDeleteInSeaGolden pins the plan of the paper's DeleteInSea
+// refinement: the OPTIONAL coastline probe runs once per fresh hotspot
+// — its window candidates meet the coast:Coastline type join before the
+// exact anyInteract test — and the fan-out pattern ?h ?hProperty
+// ?hObject joins only after the !bound(?c) filter has kept the hotspots
+// to delete.
+func TestExplainDeleteInSeaGolden(t *testing.T) {
+	got, err := NewEvaluator(clcFixture()).Explain(mustParse(t, deleteInSeaQuery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `update delete=1 insert=0
+  join[bind] {?h <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://teleios.di.uoa.gr/ontologies/noaOntology.owl#Hotspot>} est=3
+  join[bind] {?h <http://teleios.di.uoa.gr/ontologies/noaOntology.owl#hasAcquisitionDateTime> ?at} on h est=3
+  filter[pushed] (str(?at) = "2007-08-24T18:15:00")
+  join[bind] {?h <http://strdf.di.uoa.gr/ontology#hasGeometry> ?hGeo} on h est=0.75
+  optional
+    join[window] {?c <http://strdf.di.uoa.gr/ontology#hasGeometry> ?cGeo} est=0.07
+    join[bind] {?c <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://teleios.di.uoa.gr/ontologies/coastlineOntology.owl#Coastline>} on c est=0.01
+    filter[pushed] strdf:anyinteract(?hGeo, ?cGeo)
+  filter !bound(?c)
+  join[bind] {?h ?hProperty ?hObject} on h est=3
 `
 	if got != want {
 		t.Fatalf("explain mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)

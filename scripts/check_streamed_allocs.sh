@@ -11,6 +11,12 @@
 #   BenchmarkShardedQueries/single (internal/shard) — the join-heavy
 #     spatial workload on one store: scan + hash join + spatial filter,
 #     exercising the ID-native path end to end.
+#   BenchmarkFigure8DeleteInSea, BenchmarkFigure8InvalidForFires (root
+#     package) — the two refinement updates whose plans the planner's
+#     fan-out-last and exact-geometry-last rules shape. Both sit ~10x
+#     below their cost without those rules, so a plan regression (one
+#     R-tree probe per hotspot property, exact tests before the type
+#     joins) trips the gate.
 #
 # Baselines are committed next to the package they measure and hold the
 # allocs/op of a -benchtime=3x run (short runs amortise plan compilation
@@ -55,5 +61,9 @@ check ./internal/strabon 'BenchmarkStreamedSelect/full/streamed' \
     internal/strabon/testdata/streamed_select_allocs.baseline
 check ./internal/shard 'BenchmarkShardedQueries/single' \
     internal/shard/testdata/sharded_single_allocs.baseline
+check . 'BenchmarkFigure8DeleteInSea' \
+    testdata/figure8_delete_in_sea_allocs.baseline
+check . 'BenchmarkFigure8InvalidForFires' \
+    testdata/figure8_invalid_for_fires_allocs.baseline
 
 exit "$fail"
