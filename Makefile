@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-endpoint bench-stream bench-shard bench-batch bench-serve bench-engine alloc-gate lint fmt
+.PHONY: build test bench bench-endpoint bench-stream bench-shard bench-batch bench-serve bench-engine alloc-gate fuzz-wkt lint fmt
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,13 @@ bench-engine:
 # and the single-store sharded-queries case in internal/shard.
 alloc-gate:
 	./scripts/check_streamed_allocs.sh
+
+# Ten seconds of coverage-guided fuzzing of the WKT parser (geometry
+# literals arrive in untrusted queries): no panic, and the spatial
+# predicate identities hold for whatever parses. The committed seed
+# corpus (internal/geom/testdata/fuzz) also runs with every go test.
+fuzz-wkt:
+	$(GO) test -run '^$$' -fuzz FuzzParseWKT -fuzztime 10s ./internal/geom
 
 lint:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \

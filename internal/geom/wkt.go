@@ -9,7 +9,8 @@ import (
 // ParseWKT parses an OGC Well-Known Text string into a Geometry. The
 // parser accepts the subset emitted by the paper's datasets: POINT,
 // LINESTRING, POLYGON, MULTIPOINT, MULTILINESTRING, MULTIPOLYGON and
-// GEOMETRYCOLLECTION, each optionally EMPTY.
+// GEOMETRYCOLLECTION, each optionally EMPTY. Collections may nest at
+// most maxCollectionDepth levels deep. Parsing is linear in the input.
 func ParseWKT(s string) (Geometry, error) {
 	p := &wktParser{src: s}
 	g, err := p.parseGeometry()
@@ -40,9 +41,16 @@ func clip(s string) string {
 	return s
 }
 
+// maxCollectionDepth bounds GEOMETRYCOLLECTION nesting, the one
+// recursive WKT construct, at the stSPARQL parser's nesting bound: WKT
+// literals arrive inside untrusted queries, and each level costs a
+// parser stack frame and a level of every later walk over the geometry.
+const maxCollectionDepth = 128
+
 type wktParser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	depth int // GEOMETRYCOLLECTION nesting (see maxCollectionDepth)
 }
 
 func (p *wktParser) skipSpace() {
@@ -108,11 +116,14 @@ func (p *wktParser) number() (float64, error) {
 	return v, nil
 }
 
-// isEmptyTag consumes the EMPTY keyword if present.
+// isEmptyTag consumes the EMPTY keyword (any letter case) if present.
+// It looks at the next five bytes only, so a long input costs nothing
+// per geometry tag.
 func (p *wktParser) isEmptyTag() bool {
+	const kw = "EMPTY"
 	p.skipSpace()
-	if strings.HasPrefix(strings.ToUpper(p.src[p.pos:]), "EMPTY") {
-		p.pos += len("EMPTY")
+	if len(p.src)-p.pos >= len(kw) && strings.EqualFold(p.src[p.pos:p.pos+len(kw)], kw) {
+		p.pos += len(kw)
 		return true
 	}
 	return false
@@ -207,6 +218,11 @@ func (p *wktParser) parseGeometry() (Geometry, error) {
 		if p.isEmptyTag() {
 			return Collection{}, nil
 		}
+		if p.depth >= maxCollectionDepth {
+			return nil, fmt.Errorf("geom: GEOMETRYCOLLECTION nested deeper than %d levels", maxCollectionDepth)
+		}
+		p.depth++
+		defer func() { p.depth-- }()
 		if err := p.expect('('); err != nil {
 			return nil, err
 		}

@@ -268,6 +268,16 @@ func (s *Store) Match(sub, pred, obj ID, visit func(EncodedTriple) bool) {
 	}
 }
 
+// Objects streams the distinct object IDs of predicate pred — the first
+// level of its POS index — until visit returns false.
+func (s *Store) Objects(pred ID, visit func(ID) bool) {
+	for o := range s.pos[pred] {
+		if !visit(o) {
+			return
+		}
+	}
+}
+
 // MatchTerms streams decoded triples matching a term pattern; zero Terms
 // act as wildcards.
 func (s *Store) MatchTerms(sub, pred, obj Term, visit func(Triple) bool) {

@@ -8,6 +8,7 @@ package refine
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/geom"
@@ -331,6 +332,9 @@ HAVING (COUNT(?h) >= %d)`, xsdTime(since), xsdTime(p.AcquiredAt), r.PersistenceM
 	for _, h := range p.Hotspots {
 		fresh[geomKey(rdf.NewGeometry(wktOf(h)))] = true
 	}
+	// Every reinstated hotspot goes into one INSERT DATA: one parse, one
+	// write lock and one generation bump per acquisition.
+	var ins strings.Builder
 	virt := 0
 	for _, row := range res.Rows {
 		g := row["hGeo"]
@@ -340,8 +344,7 @@ HAVING (COUNT(?h) >= %d)`, xsdTime(since), xsdTime(p.AcquiredAt), r.PersistenceM
 		virt++
 		uri := fmt.Sprintf("%sHotspot_%s_%s_persist%d", ontology.NOA,
 			p.Sensor, p.AcquiredAt.UTC().Format("20060102T150405"), virt)
-		ins := fmt.Sprintf(`
-INSERT DATA {
+		fmt.Fprintf(&ins, `
   <%s> a noa:Hotspot ;
     noa:hasAcquisitionDateTime "%s"^^xsd:dateTime ;
     noa:hasConfidence 0.5 ;
@@ -349,14 +352,15 @@ INSERT DATA {
     strdf:hasGeometry %s ;
     noa:isDerivedFromSensor "%s"^^xsd:string ;
     noa:isProducedBy noa:noa ;
-    noa:isFromProcessingChain "time-persistence"^^xsd:string .
-}`, uri, xsdTime(p.AcquiredAt), g.String(), p.Sensor)
-		if _, err := r.Store.Update(ins); err != nil {
-			return affected, err
-		}
-		affected++
+    noa:isFromProcessingChain "time-persistence"^^xsd:string .`, uri, xsdTime(p.AcquiredAt), g.String(), p.Sensor)
 	}
-	return affected, nil
+	if virt == 0 {
+		return affected, nil
+	}
+	if _, err := r.Store.Update("INSERT DATA {" + ins.String() + "\n}"); err != nil {
+		return affected, err
+	}
+	return affected + virt, nil
 }
 
 // sightings counts prior hotspots interacting with h's pixel within the

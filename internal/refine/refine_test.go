@@ -1,7 +1,11 @@
 package refine
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -240,3 +244,65 @@ func TestRefineAgainstGeneratedWorld(t *testing.T) {
 }
 
 func randSrc() *rand.Rand { return rand.New(rand.NewSource(9)) }
+
+// TestScopedRuleReadsOnlyItsAcquisition pins that a scoped rule's cost
+// follows the acquisition, not the archive: the Municipalities WHERE
+// clause's opening scan hands on exactly the scoped acquisition's
+// hotspots, with one acquisition stored and with 24. Once the archive
+// holds several acquisitions that scan is a distinct-object scan of the
+// timestamps, testing one filter per stored acquisition. Only hotspot
+// triples are stored: a product's noa:Shapefile individual carries the
+// acquisition timestamp too.
+func TestScopedRuleReadsOnlyItsAcquisition(t *testing.T) {
+	base := time.Date(2007, 8, 24, 12, 0, 0, 0, time.UTC)
+	rowsOut := regexp.MustCompile(`actual rows=(\d+) `)
+	objects := regexp.MustCompile(`objects=(\d+) passed=(\d+)\)`)
+	for _, stored := range []int{1, 24} {
+		t.Run(fmt.Sprint(stored), func(t *testing.T) {
+			s := testWorldStore(t)
+			var last products.Product
+			for k := 0; k < stored; k++ {
+				at := base.Add(time.Duration(k) * 15 * time.Minute)
+				last = products.Product{Sensor: "MSG1", Chain: "sciql", AcquiredAt: at}
+				for i := 0; i < 3+k%4; i++ {
+					last.Hotspots = append(last.Hotspots,
+						hotspotAt(22.1+0.1*float64(i), 37.5, at, fmt.Sprintf("a%d_%d", k, i)))
+				}
+				for _, h := range last.Hotspots {
+					s.LoadTriples(h.Triples())
+				}
+			}
+			out, err := s.ExplainAnalyze(context.Background(), fmt.Sprintf(`
+SELECT ?h ?m WHERE {
+  ?h a noa:Hotspot ;
+     noa:hasAcquisitionDateTime ?at ;
+     strdf:hasGeometry ?hGeo .
+  ?m a gag:Municipality ;
+     strdf:hasGeometry ?mGeo .
+  %s
+  FILTER( strdf:anyInteract(?hGeo, ?mGeo) )
+}`, scopeEq(last.AcquiredAt)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			opening := strings.SplitN(out, "\n", 3)[1]
+			m := rowsOut.FindStringSubmatch(opening)
+			if m == nil {
+				t.Fatalf("no actuals on the opening scan:\n%s", out)
+			}
+			if want := fmt.Sprint(len(last.Hotspots)); m[1] != want {
+				t.Fatalf("opening scan emits %s rows, want the acquisition's %s hotspots:\n%s", m[1], want, out)
+			}
+			if stored == 1 {
+				return
+			}
+			o := objects.FindStringSubmatch(opening)
+			if !strings.Contains(opening, "join[objects]") || o == nil {
+				t.Fatalf("plan does not open with an analysed distinct-object scan:\n%s", out)
+			}
+			if o[1] != fmt.Sprint(stored) || o[2] != "1" {
+				t.Fatalf("objects tested/passed = %s/%s, want %d/1:\n%s", o[1], o[2], stored, out)
+			}
+		})
+	}
+}

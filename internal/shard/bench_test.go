@@ -13,7 +13,7 @@ import (
 // BenchmarkShardedQueries compares single-store vs sharded read
 // throughput on the paper's dominant workload shape — "hotspots in
 // acquisition window X" joined against reference data — while a writer
-// keeps appending acquisitions to the live slice. On the sharded store
+// appends one acquisition to the live slice per completed query. On the sharded store
 // the historical window prunes to one slice and never contends with the
 // writer's shard-local lock; on the single store every query queues
 // behind every write. Run with -cpu 1,4: like the pipeline bench, the
@@ -65,16 +65,18 @@ func BenchmarkShardedQueries(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			st := tc.mk()
 			load(st)
-			stop := make(chan struct{})
+			// The writer appends one product to the live slice per
+			// completed query, so its share of allocs/op is fixed rather
+			// than set by how many wall-clock-paced inserts land inside
+			// the timer. The buffer lets queries run a bounded distance
+			// ahead of the writer; the timed region ends only once the
+			// writer has caught up.
+			ticks := make(chan struct{}, 64)
 			writerDone := make(chan struct{})
 			go func() {
 				defer close(writerDone)
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
+				i := 0
+				for range ticks {
 					at := day.Add(13*time.Hour + time.Duration(i)*5*time.Minute)
 					p := &products.Product{Sensor: "MSG1", Chain: "bench", AcquiredAt: at}
 					p.Hotspots = append(p.Hotspots, products.Hotspot{
@@ -82,7 +84,7 @@ func BenchmarkShardedQueries(b *testing.B) {
 						Confidence: 1.0, AcquiredAt: at, Sensor: "MSG1", Chain: "bench", Producer: "noa",
 					})
 					st.InsertAll(p.Triples())
-					time.Sleep(100 * time.Microsecond)
+					i++
 				}
 			}()
 			rows := 0
@@ -97,11 +99,12 @@ func BenchmarkShardedQueries(b *testing.B) {
 						b.Fatal("windowed query returned no rows")
 					}
 					rows = len(res.Rows)
+					ticks <- struct{}{}
 				}
 			})
-			b.StopTimer()
-			close(stop)
+			close(ticks)
 			<-writerDone
+			b.StopTimer()
 			b.ReportMetric(float64(rows), "rows/req")
 		})
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func endpointFixture(t testing.TB) (*Store, *Endpoint) {
@@ -328,5 +329,49 @@ func TestEndpointDeepNestingIs400(t *testing.T) {
 	}
 	if !strings.Contains(w.Body.String(), "nesting deeper than") {
 		t.Fatalf("body %.200q does not name the nesting bound", w.Body)
+	}
+}
+
+// TestEndpointLargeWKTLiteralAnswersPromptly is the regression test for
+// a one-request CPU denial of service: a query carrying a geometry
+// literal just under maxRequestBody — a flat GEOMETRYCOLLECTION of ~95k
+// points, or collections nested ~50k deep — took the WKT parser the best
+// part of a minute. The flat literal now parses in linear time and the
+// nested one stops at the collection nesting bound, so both answer
+// promptly: the flat one with its matches, the nested one with none (a
+// filter over an unparseable geometry drops the row).
+func TestEndpointLargeWKTLiteralAnswersPromptly(t *testing.T) {
+	_, ep := endpointFixture(t)
+	const head, tail = `SELECT ?s WHERE { ?s strdf:hasGeometry ?g FILTER(strdf:anyInteract(?g, "`, `"^^strdf:WKT)) }`
+	room := maxRequestBody - len(head) - len(tail) - 64
+	const point, nest = "POINT(2.5 2.5),", "GEOMETRYCOLLECTION()"
+	cases := []struct {
+		name, wkt string
+		rows      string
+	}{
+		{"flat", "GEOMETRYCOLLECTION(" + strings.Repeat(point, room/len(point)) + "POINT(2.5 2.5))", "2"},
+		{"nested", strings.Repeat("GEOMETRYCOLLECTION(", room/len(nest)) + "POINT(2.5 2.5)" + strings.Repeat(")", room/len(nest)), "0"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			body := head + tc.wkt + tail
+			if len(body) > maxRequestBody || len(body) < maxRequestBody-128 {
+				t.Fatalf("body %d bytes, want just under %d", len(body), maxRequestBody)
+			}
+			req := httptest.NewRequest(http.MethodPost, "/sparql", strings.NewReader(body))
+			req.Header.Set("Content-Type", "application/sparql-query")
+			w := httptest.NewRecorder()
+			start := time.Now()
+			ep.ServeHTTP(w, req)
+			if took := time.Since(start); took > 5*time.Second {
+				t.Fatalf("answer took %v", took)
+			}
+			if w.Code != http.StatusOK {
+				t.Fatalf("status %d, want 200: %.200s", w.Code, w.Body)
+			}
+			if got := w.Header().Get("X-Rows"); got != tc.rows {
+				t.Fatalf("X-Rows = %s, want %s", got, tc.rows)
+			}
+		})
 	}
 }

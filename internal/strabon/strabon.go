@@ -259,7 +259,7 @@ func (s *Store) MatchGeometryWindow(env geom.Envelope, visit func(rdf.Triple) bo
 	})
 }
 
-// --- stsparql.IDSource / SpatialIDSource ---
+// --- stsparql.IDSource / ObjectIDSource / SpatialIDSource ---
 // The ID-native scan surface: the engine joins, filters and deduplicates
 // on the store's dictionary IDs and materialises terms late (cursor row
 // views, ORDER BY, aggregation). Like the term-level methods above,
@@ -274,6 +274,12 @@ func (s *Store) Dict() *rdf.Dictionary { return s.triples.Dict() }
 // matching an encoded pattern (rdf.Wildcard components match anything).
 func (s *Store) MatchIDs(sub, pred, obj rdf.ID, visit func(rdf.EncodedTriple) bool) {
 	s.triples.Match(sub, pred, obj, visit)
+}
+
+// MatchObjectIDs implements stsparql.ObjectIDSource: it streams the
+// distinct object IDs of one predicate from the POS index.
+func (s *Store) MatchObjectIDs(pred rdf.ID, visit func(rdf.ID) bool) {
+	s.triples.Objects(pred, visit)
 }
 
 // MatchGeometryWindowIDs implements stsparql.SpatialIDSource: the

@@ -28,6 +28,11 @@ type OpStats struct {
 	Batches atomic.Int64 // batches emitted
 	Opens   atomic.Int64 // times the operator was opened
 	Nanos   atomic.Int64 // cumulative wall time in next(), inclusive of upstream
+
+	// Distinct-object scans (join[objects]) only: objects whose filters
+	// were evaluated, and those that passed.
+	ObjectsTested atomic.Int64
+	ObjectsPassed atomic.Int64
 }
 
 // ExecTrace maps a compiled plan's operators to their runtime actuals.
@@ -126,6 +131,7 @@ func (e *Evaluator) SetTrace(t *ExecTrace) { e.trace = t }
 // operator's line annotated with its actuals:
 //
 //	join[bind] {?h a noa:Hotspot} est=1000 (actual rows=9731 batches=12 time=1.2ms)
+//	join[objects] {?h noa:hasAcquisitionDateTime ?at} filter (str(?at) = "…") est=31 (actual rows=31 batches=1 time=90µs objects=100 passed=1)
 //
 // rows/batches are the operator's output; time is inclusive of
 // everything upstream; opens>1 marks per-probe-row re-opened sub-plans
@@ -189,6 +195,9 @@ func (t *ExecTrace) annotate(b *strings.Builder, op operator) {
 		st.Rows.Load(), st.Batches.Load(), time.Duration(st.Nanos.Load()).Round(time.Microsecond))
 	if n := st.Opens.Load(); n > 1 {
 		fmt.Fprintf(b, " opens=%d", n)
+	}
+	if j, ok := op.(*joinOp); ok && j.strategy == joinObjects {
+		fmt.Fprintf(b, " objects=%d passed=%d", st.ObjectsTested.Load(), st.ObjectsPassed.Load())
 	}
 	b.WriteString(")")
 }

@@ -59,6 +59,17 @@ type IDSource interface {
 	MatchIDs(s, p, o rdf.ID, visit func(rdf.EncodedTriple) bool)
 }
 
+// ObjectIDSource extends an ID source with a scan of one predicate's
+// distinct objects, which lets a group's opening scan test a filter
+// that reads only the object once per distinct object instead of once
+// per triple (join[objects], see patScan.runObjects). Like MatchIDs it
+// runs under the caller's read lock.
+type ObjectIDSource interface {
+	IDSource
+	// MatchObjectIDs streams the distinct object IDs of predicate p.
+	MatchObjectIDs(p rdf.ID, visit func(rdf.ID) bool)
+}
+
 // SpatialIDSource extends a spatial source with an encoded window scan,
 // so R-tree window joins can stay in ID space too.
 type SpatialIDSource interface {

@@ -55,9 +55,10 @@ type operator interface {
 
 // Join strategies a joinOp can be planned with.
 const (
-	joinBind   = "bind"   // per-row indexed scan
-	joinHash   = "hash"   // scan once, hash on shared vars, probe
-	joinWindow = "window" // per-row R-tree window scan (spatial join)
+	joinBind    = "bind"    // per-row indexed scan
+	joinHash    = "hash"    // scan once, hash on shared vars, probe
+	joinWindow  = "window"  // per-row R-tree window scan (spatial join)
+	joinObjects = "objects" // distinct-object scan opening a group (see runObjects)
 )
 
 // joinOp extends each input row through one triple pattern. The planner
@@ -65,8 +66,11 @@ const (
 // yields a candidate envelope, and hash falls back to bind for
 // single-row inputs (the build cost would dominate).
 type joinOp struct {
-	pat      TriplePattern
-	filters  []*FilterElement // group filters, for spatial-window detection
+	pat     TriplePattern
+	filters []*FilterElement // group filters, for spatial-window detection
+	// objects holds the object-only filters a join[objects] scan tests
+	// once per distinct object; the planner marks them applied.
+	objects  []Expr
 	strategy string
 	shared   []string   // pattern vars certainly bound by the input rows
 	est      float64    // estimated output rows (Explain annotation)
@@ -102,7 +106,7 @@ type joinOp struct {
 // and a downstream LIMIT (or an abandoned cursor) stops the index scan
 // itself.
 func (op *joinOp) streams() bool {
-	return op.strategy == joinBind && len(op.shared) == 0 && !op.buffered
+	return (op.strategy == joinBind || op.strategy == joinObjects) && len(op.shared) == 0 && !op.buffered
 }
 
 func (op *joinOp) open(e *Evaluator, in batchIter) batchIter {
@@ -127,7 +131,7 @@ func (op *joinOp) makeTable(e *Evaluator) (*Batch, map[string][]int32) {
 	}
 	sort.Strings(names)
 	b := newBatch(e.dict, newSchema(names), batchSizeMax)
-	e.scanPatternInto(op.pat, rowRef{}, nil, func() *Batch { return b }, alwaysScan)
+	newPatScan(e, op.pat, nil, func() *Batch { return b }, alwaysScan).run(rowRef{})
 	table := make(map[string][]int32)
 	var kb []byte
 	for r := 0; r < b.n; r++ {
@@ -231,7 +235,7 @@ func (it *joinIter) next() (*Batch, error) {
 			it.probeHash(probe, out)
 		} else {
 			if it.scan == nil {
-				it.scan = newPatScan(it.e, it.op.pat, it.op.filters, func() *Batch { return it.scanOut }, alwaysScan)
+				it.scan = it.op.newScan(it.e, func() *Batch { return it.scanOut }, alwaysScan)
 			}
 			it.scanOut = out
 			it.scan.run(probe)
@@ -320,7 +324,7 @@ func (it *joinIter) startStream(probe rowRef) {
 	it.pull, it.stop = iter.Pull(func(yield func(*Batch) bool) {
 		target := op.firstTarget()
 		out := newBatch(e.dict, op.schema, target)
-		e.scanPatternInto(op.pat, probe, op.filters, func() *Batch { return out }, func() bool {
+		op.newScan(e, func() *Batch { return out }, func() bool {
 			if out.n >= target {
 				if !yield(out) {
 					return false
@@ -335,7 +339,7 @@ func (it *joinIter) startStream(probe rowRef) {
 				}
 			}
 			return true
-		})
+		}).run(probe)
 		if out.n > 0 {
 			yield(out)
 		}
@@ -393,6 +397,14 @@ func (op *joinOp) explain(b *strings.Builder, indent string) {
 		termOrVarString(op.pat.S), termOrVarString(op.pat.P), termOrVarString(op.pat.O))
 	if len(op.shared) > 0 {
 		fmt.Fprintf(b, " on %s", strings.Join(op.shared, ","))
+	}
+	for i, c := range op.objects {
+		if i == 0 {
+			b.WriteString(" filter ")
+		} else {
+			b.WriteString(" && ")
+		}
+		b.WriteString(exprString(c))
 	}
 	fmt.Fprintf(b, " est=%s\n", formatEst(op.est))
 }
@@ -1362,17 +1374,27 @@ func (op *sliceOp) explain(b *strings.Builder, indent string) {
 
 // --- pattern scanning (shared by bind joins and hash build sides) ---
 
-// scanPatternInto matches one triple pattern under a probe row,
-// appending extended rows to the batch out returns. onRow runs after
-// each appended row and reports whether to continue the scan; the
-// streaming coroutine yields full batches from it and swaps in a fresh
-// slab, which is why out is fetched per row rather than passed once.
-// When the pattern binds a fresh geometry variable that a pending
-// spatial filter constrains against an already-known geometry, and the
-// source has a spatial index, the scan is served by an R-tree window
-// query instead of a full predicate scan.
-func (e *Evaluator) scanPatternInto(pat TriplePattern, probe rowRef, filters []*FilterElement, out func() *Batch, onRow func() bool) {
-	newPatScan(e, pat, filters, out, onRow).run(probe)
+// newScan returns a reusable scan of the join's pattern, appending
+// extended rows to the batch out returns. onRow runs after each
+// appended row and reports whether to continue the scan; the streaming
+// coroutine yields full batches from it and swaps in a fresh slab,
+// which is why out is fetched per row rather than passed once.
+func (op *joinOp) newScan(e *Evaluator, out func() *Batch, onRow func() bool) *patScan {
+	sc := newPatScan(e, op.pat, op.filters, out, onRow)
+	if op.strategy == joinObjects {
+		// The planner picks join[objects] only over an ObjectIDSource,
+		// and a plan runs only against the source it was compiled for.
+		sc.objSrc = e.src.(ObjectIDSource)
+		sc.objects = op.objects
+		sc.objRow = newBatch(e.dict, newSchema([]string{op.pat.O.Var}), 1)
+		sc.objRow.n = 1
+		sc.visitObject = sc.objectVisit
+		sc.visitObjectRow = sc.objectRowVisit
+		if e.trace != nil {
+			sc.stats = e.trace.stats[op]
+		}
+	}
+	return sc
 }
 
 // patScan is one pattern scan's reusable context. Bind joins run a
@@ -1401,6 +1423,16 @@ type patScan struct {
 
 	visitIDs       func(rdf.EncodedTriple) bool // bound tryBindIDs
 	visitWindowIDs func(rdf.EncodedTriple) bool // bound windowVisitIDs
+
+	// Distinct-object scan state (join[objects]; objSrc nil otherwise).
+	objSrc         ObjectIDSource
+	objects        []Expr                       // object-only filters
+	objRow         *Batch                       // one-row batch binding only ?o
+	cont           bool                         // the last row visit's continue verdict
+	tested, passed int64                        // distinct objects tested / kept this run
+	stats          *OpStats                     // EXPLAIN ANALYZE actuals; nil untraced
+	visitObject    func(rdf.ID) bool            // bound objectVisit
+	visitObjectRow func(rdf.EncodedTriple) bool // bound objectRowVisit
 }
 
 func newPatScan(e *Evaluator, pat TriplePattern, filters []*FilterElement, out func() *Batch, onRow func() bool) *patScan {
@@ -1454,6 +1486,10 @@ func (sc *patScan) runIDs(probe rowRef) {
 	}
 	sc.sid, sc.pid, sc.oid = sid, pid, oid
 
+	if sc.objSrc != nil {
+		sc.runObjects()
+		return
+	}
 	if pid != 0 && sc.pat.O.IsVar() && oid == 0 && GeometryPredicates[sc.e.dict.decode(termID(pid)).Value] {
 		if ss, ok := sc.e.src.(SpatialIDSource); ok && ss.SpatialIndexEnabled() {
 			if env, found := sc.e.spatialWindowFor(sc.pat.O.Var, probe, sc.filters); found {
@@ -1463,6 +1499,45 @@ func (sc *patScan) runIDs(probe rowRef) {
 		}
 	}
 	sc.e.idsrc.MatchIDs(sid, pid, oid, sc.visitIDs)
+}
+
+// runObjects is the distinct-object scan behind join[objects]: it walks
+// the predicate's distinct objects, evaluates the object-only filters
+// once per object, and scans pos[p][o] only for the objects that pass.
+// The planner opens a group with it only on the seed row, so the
+// subject and object are unbound and every passing object's triples
+// extend the row. See objectFilters for why this keeps exactly the
+// rows per-row filters would.
+func (sc *patScan) runObjects() {
+	sc.tested, sc.passed, sc.cont = 0, 0, true
+	sc.objSrc.MatchObjectIDs(sc.pid, sc.visitObject)
+	if sc.stats != nil {
+		sc.stats.ObjectsTested.Add(sc.tested)
+		sc.stats.ObjectsPassed.Add(sc.passed)
+	}
+}
+
+// objectVisit tests one distinct object and, if it passes, scans its
+// triples; it reports whether the scan should continue.
+func (sc *patScan) objectVisit(o rdf.ID) bool {
+	sc.tested++
+	sc.objRow.cols[0][0] = termID(o)
+	row := rowRef{b: sc.objRow}
+	for _, c := range sc.objects {
+		if pass, err := sc.e.evalExpr(c, row).effectiveBool(); err != nil || !pass {
+			return true
+		}
+	}
+	sc.passed++
+	sc.e.idsrc.MatchIDs(sc.sid, sc.pid, o, sc.visitObjectRow)
+	return sc.cont
+}
+
+// objectRowVisit binds one triple of a passing object, remembering
+// whether the consumer wants more so objectVisit can stop too.
+func (sc *patScan) objectRowVisit(t rdf.EncodedTriple) bool {
+	sc.cont = sc.tryBindIDs(t)
+	return sc.cont
 }
 
 // windowVisit filters R-tree window candidates down to the pattern

@@ -13,12 +13,13 @@ import (
 // basic graph patterns by cardinality estimates drawn from the source's
 // maintained statistics (StatSource), pushes filters down to the
 // earliest point where their variables are certainly bound, routes
-// R-tree-servable geometry patterns through window scans, and picks hash
-// joins for large or disconnected intermediate results. Two ordering
-// rules run cheap, selective steps before costly ones: fan-out patterns
-// join at the end of their group (fanoutLast), and exact spatial filters
-// wait for cheap checks on their candidates (checksPending). Explain
-// renders the chosen plan.
+// R-tree-servable geometry patterns through window scans, opens groups
+// whose first pattern's object is filtered with a distinct-object scan
+// (objectFilters), and picks hash joins for large or disconnected
+// intermediate results. Two ordering rules run cheap, selective steps
+// before costly ones: fan-out patterns join at the end of their group
+// (fanoutLast), and exact spatial filters wait for cheap checks on their
+// candidates (checksPending). Explain renders the chosen plan.
 
 // StatSource is an optional Source extension providing the cardinality
 // statistics the planner costs join orders with. All methods must be
@@ -66,6 +67,12 @@ type planner struct {
 	// exit abandons the index scan after ~LIMIT visits, not a full
 	// minimum slab. 0 means no hint (batchSizeMin).
 	firstBatch int
+	// objects is set when the source can enumerate a predicate's
+	// distinct objects (ObjectIDSource) and keeps statistics to cost
+	// that scan with; seeded marks a group whose pipeline opens on the
+	// plan's single empty seed row — the only input a distinct-object
+	// scan may open on (see objectFilters).
+	objects, seeded bool
 
 	totalTriples, totalSubj, totalPred, totalObj int
 }
@@ -79,6 +86,8 @@ func (e *Evaluator) newPlanner() *planner {
 	if ss, ok := e.src.(SpatialSource); ok {
 		p.spatial = ss.SpatialIndexEnabled()
 	}
+	_, isObj := e.src.(ObjectIDSource)
+	p.objects = isObj && p.stats != nil
 	return p
 }
 
@@ -227,7 +236,11 @@ func (p *planner) planSelect(q *SelectQuery, buffered bool) *selectPlan {
 func (p *planner) planGroupRoot(gp *GroupPattern, buffered bool) *groupPlan {
 	vars := map[string]bool{}
 	collectGroupVars(gp, vars)
-	return p.planGroup(gp, map[string]bool{}, 1, buffered, schemaOf(vars))
+	saved := p.seeded
+	p.seeded = true
+	g := p.planGroup(gp, map[string]bool{}, 1, buffered, schemaOf(vars))
+	p.seeded = saved
+	return g
 }
 
 // collectGroupVars accumulates every variable a group graph pattern can
@@ -287,8 +300,12 @@ func (p *planner) planGroup(gp *GroupPattern, bound map[string]bool, inEst float
 	applied := make(map[*FilterElement]bool)
 	lateMarks := fanoutLast(gp, bound)
 	var late []TriplePattern
+	// Only elements that open this group on its seed row stay seeded;
+	// OPTIONAL and UNION sub-plans re-open per input row.
+	seeded := p.seeded
 
 	for _, el := range gp.Elements {
+		p.seeded = seeded && len(g.ops) == 0
 		switch v := el.(type) {
 		case *BGPElement:
 			pats := v.Patterns
@@ -308,10 +325,12 @@ func (p *planner) planGroup(gp *GroupPattern, bound map[string]bool, inEst float
 		case *FilterElement:
 			// applied at group end (or pushed into a BGP)
 		case *OptionalElement:
+			p.seeded = false
 			sub := p.planGroup(v.Pattern, cloneBound(bound), 1, true, schema)
 			g.ops = append(g.ops, &optionalOp{sub: sub, schema: schema})
 		case *UnionElement:
 			u := &unionOp{schema: schema}
+			p.seeded = false
 			var branchBound []map[string]bool
 			for _, br := range v.Branches {
 				bb := cloneBound(bound)
@@ -367,6 +386,7 @@ func (p *planner) planGroup(gp *GroupPattern, bound map[string]bool, inEst float
 	// Fan-out patterns join last, over the rows the rest of the group
 	// kept (see fanoutLast).
 	if len(late) > 0 {
+		p.seeded = false
 		ops, _ := p.planBGP(late, nil, nil, bound, inEst, buffered, schema)
 		g.ops = append(g.ops, ops...)
 	}
@@ -522,6 +542,9 @@ func elementMentions(el PatternElement, out map[string]bool) {
 func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, applied map[*FilterElement]bool, bound map[string]bool, inEst float64, buffered bool, schema *varSchema) ([]operator, float64) {
 	remaining := append([]TriplePattern(nil), patterns...)
 	var ops []operator
+	// A distinct-object scan may only open the group: with nothing bound
+	// it runs once, over the seed row, and never opens a cross product.
+	opening := p.objects && p.seeded && len(bound) == 0
 
 	for len(remaining) > 0 {
 		// Pick the next pattern by (boundness class, cardinality estimate):
@@ -533,8 +556,11 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 		// ordering is the heuristic the tree-walking evaluator pinned
 		// (selective scans first, window scans as soon as servable); the
 		// estimates refine choices the class cannot rank, such as two type
-		// scans of different sizes.
+		// scans of different sizes. A pattern a distinct-object scan can
+		// open the group with ranks as if its filtered object were a
+		// constant.
 		best, bestScore, bestEst, bestWindow := 0, -1, 0.0, false
+		var bestObjects []*FilterElement
 		for i, pat := range remaining {
 			score := 0
 			for _, tv := range []TermOrVar{pat.S, pat.P, pat.O} {
@@ -556,14 +582,24 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 			if window {
 				est *= spatialWindowSelectivity
 			}
+			var objects []*FilterElement
+			if opening && len(ops) == 0 {
+				if objects = objectFilters(pat, filters, applied); objects != nil {
+					score, est = 5, p.objectsEstimate(pat, objects)
+				}
+			}
 			if score > bestScore || (score == bestScore && est < bestEst) {
-				best, bestScore, bestEst, bestWindow = i, score, est, window
+				best, bestScore, bestEst, bestWindow, bestObjects = i, score, est, window, objects
 			}
 		}
 		pat := remaining[best]
 		remaining = append(remaining[:best], remaining[best+1:]...)
 
 		op := &joinOp{pat: pat, filters: filters, strategy: joinBind, buffered: buffered, schema: schema, first: p.firstBatch}
+		for _, f := range bestObjects {
+			applied[f] = true
+			op.objects = append(op.objects, f.Cond)
+		}
 		for _, tv := range []TermOrVar{pat.S, pat.P, pat.O} {
 			if tv.IsVar() && bound[tv.Var] && !containsVar(op.shared, tv.Var) {
 				op.shared = append(op.shared, tv.Var)
@@ -575,6 +611,8 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 		switch {
 		case bestWindow:
 			op.strategy = joinWindow
+		case bestObjects != nil:
+			op.strategy = joinObjects
 		case p.stats != nil && len(op.shared) == 0 && inEst >= crossJoinHashMinRows:
 			// Disconnected pattern: bind degenerates to a rescan per row.
 			op.strategy = joinHash
@@ -628,6 +666,61 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 // boundFn names bound(): filters calling it wait for the group end,
 // since an OPTIONAL may still bind the variable.
 var boundFn = map[string]bool{"bound": true}
+
+// objectFilters returns the pending filters a distinct-object scan of
+// pat evaluates (join[objects]): pat is ?s <p> ?o with s ≠ o and p not
+// a geometry predicate (window scans own those), and each filter reads
+// ?o and nothing else. nil means the pattern does not qualify. Such a
+// filter answers the same for every triple sharing an object — every
+// built-in is deterministic — so testing it once per distinct object
+// keeps exactly the triples a per-row filter would; an object whose
+// filter errors is dropped, as each of its rows would be.
+func objectFilters(pat TriplePattern, filters []*FilterElement, applied map[*FilterElement]bool) []*FilterElement {
+	if !pat.S.IsVar() || pat.P.IsVar() || !pat.O.IsVar() || pat.S.Var == pat.O.Var ||
+		GeometryPredicates[pat.P.Term.Value] {
+		return nil
+	}
+	var out []*FilterElement
+	for _, f := range filters {
+		if applied[f] || callsAny(f.Cond, boundFn) {
+			continue
+		}
+		vars := map[string]bool{}
+		exprVars(f.Cond, vars)
+		if len(vars) == 1 && vars[pat.O.Var] {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// objectsEstimate estimates a distinct-object scan's output from the
+// predicate's statistics: an equality against a constant keeps about
+// one distinct object's share of the triples, any other filter the
+// usual eager-filter share.
+func (p *planner) objectsEstimate(pat TriplePattern, filters []*FilterElement) float64 {
+	triples, _, distinctO := p.stats.PredicateCard(pat.P.Term)
+	est := float64(triples)
+	for _, f := range filters {
+		if eqConst(f.Cond) {
+			est /= float64(maxi(distinctO, 1))
+		} else {
+			est *= eagerFilterSelectivity
+		}
+	}
+	return est
+}
+
+// eqConst reports whether e is an equality with a constant side.
+func eqConst(e Expr) bool {
+	be, ok := e.(*BinaryExpr)
+	if !ok || be.Op != "=" {
+		return false
+	}
+	_, l := be.L.(*ConstExpr)
+	_, r := be.R.(*ConstExpr)
+	return l || r
+}
 
 // checksPending reports whether a remaining pattern is a cheap check on
 // rows already produced: its subject is bound, its predicate constant,

@@ -47,6 +47,31 @@ func clcFixture() spatialFixture {
 	return spatialFixture{s}
 }
 
+// idFixture presents a fixture as an ID-native source with the
+// distinct-object capability — the shape of strabon's store — so plans
+// may open with join[objects].
+type idFixture struct {
+	spatialFixture
+}
+
+func (s idFixture) MatchIDs(sub, pred, obj rdf.ID, visit func(rdf.EncodedTriple) bool) {
+	s.Match(sub, pred, obj, visit)
+}
+
+func (s idFixture) MatchObjectIDs(pred rdf.ID, visit func(rdf.ID) bool) {
+	s.Objects(pred, visit)
+}
+
+func (s idFixture) MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.EncodedTriple) bool) {
+	d := s.Dict()
+	s.MatchGeometryWindow(env, func(t rdf.Triple) bool {
+		sid, _ := d.Lookup(t.S)
+		pid, _ := d.Lookup(t.P)
+		oid, _ := d.Lookup(t.O)
+		return visit(rdf.EncodedTriple{S: sid, P: pid, O: oid})
+	})
+}
+
 const invalidForFiresQuery = `
 DELETE { ?h ?hProperty ?hObject }
 WHERE {
@@ -63,31 +88,31 @@ WHERE {
 }`
 
 // TestExplainInvalidForFiresGolden pins the plan chosen for the paper's
-// InvalidForFires refinement: the hotspot side scans first, the
-// acquisition-scope filter is pushed directly below the pattern binding
-// ?at, and the land-cover geometry (the second basic graph pattern — the
-// parser splits subject blocks) is joined through an R-tree window scan
-// with ?hGeo bound, once per hotspot. The window's candidates meet the
+// InvalidForFires refinement: the hotspot side opens with a
+// distinct-object scan that tests the acquisition-scope filter once per
+// timestamp, the type check follows, and the land-cover geometry (the
+// second basic graph pattern — the parser splits subject blocks) is
+// joined through an R-tree window scan with ?hGeo bound, once per
+// hotspot. The window's candidates meet the
 // cheap checks — the clc:Area type join, the land-use join and its
 // filter — before the exact coveredBy test, and the fan-out pattern
 // ?h ?hProperty ?hObject joins last, over the hotspots that survived.
 func TestExplainInvalidForFiresGolden(t *testing.T) {
 	q := mustParse(t, invalidForFiresQuery)
-	got, err := NewEvaluator(clcFixture()).Explain(q)
+	got, err := NewEvaluator(idFixture{clcFixture()}).Explain(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := `update delete=1 insert=0
-  join[bind] {?h <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://teleios.di.uoa.gr/ontologies/noaOntology.owl#Hotspot>} est=3
-  join[bind] {?h <http://teleios.di.uoa.gr/ontologies/noaOntology.owl#hasAcquisitionDateTime> ?at} on h est=3
-  filter[pushed] (str(?at) = "2007-08-24T18:15:00")
-  join[bind] {?h <http://strdf.di.uoa.gr/ontology#hasGeometry> ?hGeo} on h est=0.75
-  join[window] {?a <http://strdf.di.uoa.gr/ontology#hasGeometry> ?aGeo} est=0.053
-  join[bind] {?a <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://teleios.di.uoa.gr/ontologies/clcOntology.owl#Area>} on a est=0.0075
-  join[bind] {?a <http://teleios.di.uoa.gr/ontologies/clcOntology.owl#hasLandUse> ?use} on a est=0.0075
+  join[objects] {?h <http://teleios.di.uoa.gr/ontologies/noaOntology.owl#hasAcquisitionDateTime> ?at} filter (str(?at) = "2007-08-24T18:15:00") est=1.5
+  join[bind] {?h <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://teleios.di.uoa.gr/ontologies/noaOntology.owl#Hotspot>} on h est=0.64
+  join[bind] {?h <http://strdf.di.uoa.gr/ontology#hasGeometry> ?hGeo} on h est=0.64
+  join[window] {?a <http://strdf.di.uoa.gr/ontology#hasGeometry> ?aGeo} est=0.045
+  join[bind] {?a <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://teleios.di.uoa.gr/ontologies/clcOntology.owl#Area>} on a est=0.0064
+  join[bind] {?a <http://teleios.di.uoa.gr/ontologies/clcOntology.owl#hasLandUse> ?use} on a est=0.0064
   filter[pushed] ((?use = <http://teleios.di.uoa.gr/ontologies/clcOntology.owl#NonIrrigatedArableLand>) || (?use = <http://teleios.di.uoa.gr/ontologies/clcOntology.owl#ContinuousUrbanFabric>))
   filter[pushed] strdf:coveredby(?hGeo, ?aGeo)
-  join[bind] {?h ?hProperty ?hObject} on h est=0.0019
+  join[bind] {?h ?hProperty ?hObject} on h est=0.0016
 `
 	if got != want {
 		t.Fatalf("explain mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -111,27 +136,28 @@ WHERE {
 }`
 
 // TestExplainDeleteInSeaGolden pins the plan of the paper's DeleteInSea
-// refinement: the OPTIONAL coastline probe runs once per fresh hotspot
+// refinement: the acquisition's hotspots come from a distinct-object
+// scan of their timestamps, the OPTIONAL coastline probe runs once per
+// fresh hotspot
 // — its window candidates meet the coast:Coastline type join before the
 // exact anyInteract test — and the fan-out pattern ?h ?hProperty
 // ?hObject joins only after the !bound(?c) filter has kept the hotspots
 // to delete.
 func TestExplainDeleteInSeaGolden(t *testing.T) {
-	got, err := NewEvaluator(clcFixture()).Explain(mustParse(t, deleteInSeaQuery))
+	got, err := NewEvaluator(idFixture{clcFixture()}).Explain(mustParse(t, deleteInSeaQuery))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := `update delete=1 insert=0
-  join[bind] {?h <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://teleios.di.uoa.gr/ontologies/noaOntology.owl#Hotspot>} est=3
-  join[bind] {?h <http://teleios.di.uoa.gr/ontologies/noaOntology.owl#hasAcquisitionDateTime> ?at} on h est=3
-  filter[pushed] (str(?at) = "2007-08-24T18:15:00")
-  join[bind] {?h <http://strdf.di.uoa.gr/ontology#hasGeometry> ?hGeo} on h est=0.75
+  join[objects] {?h <http://teleios.di.uoa.gr/ontologies/noaOntology.owl#hasAcquisitionDateTime> ?at} filter (str(?at) = "2007-08-24T18:15:00") est=1.5
+  join[bind] {?h <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://teleios.di.uoa.gr/ontologies/noaOntology.owl#Hotspot>} on h est=0.64
+  join[bind] {?h <http://strdf.di.uoa.gr/ontology#hasGeometry> ?hGeo} on h est=0.64
   optional
     join[window] {?c <http://strdf.di.uoa.gr/ontology#hasGeometry> ?cGeo} est=0.07
     join[bind] {?c <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://teleios.di.uoa.gr/ontologies/coastlineOntology.owl#Coastline>} on c est=0.01
     filter[pushed] strdf:anyinteract(?hGeo, ?cGeo)
   filter !bound(?c)
-  join[bind] {?h ?hProperty ?hObject} on h est=3
+  join[bind] {?h ?hProperty ?hObject} on h est=2.6
 `
 	if got != want {
 		t.Fatalf("explain mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -145,7 +171,7 @@ func TestExplainAggregateGolden(t *testing.T) {
 SELECT ?sensor (COUNT(?h) AS ?n) WHERE {
   ?h a noa:Hotspot ; noa:isDerivedFromSensor ?sensor .
 } GROUP BY ?sensor HAVING (COUNT(?h) > 1) ORDER BY ?sensor LIMIT 5`)
-	got, err := NewEvaluator(clcFixture()).Explain(q)
+	got, err := NewEvaluator(idFixture{clcFixture()}).Explain(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +195,7 @@ SELECT ?sensor (COUNT(?h) AS ?n) WHERE {
 func TestExplainSlicePushdownGolden(t *testing.T) {
 	q := mustParse(t, `
 SELECT ?h ?c WHERE { ?h a noa:Hotspot ; noa:hasConfidence ?c . } LIMIT 5 OFFSET 2`)
-	got, err := NewEvaluator(clcFixture()).Explain(q)
+	got, err := NewEvaluator(idFixture{clcFixture()}).Explain(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,5 +365,60 @@ SELECT ?a ?b WHERE { ?a a e:Thing ; e:linksTo ?b . ?b a e:Thing . }`)
 			t.Fatalf("duplicate solution %s", k)
 		}
 		seen[k] = true
+	}
+}
+
+// TestObjectsScanCases pins when a group opens with a distinct-object
+// scan: only over a source with the capability, on a pattern ?s <p> ?o
+// that opens its group with nothing bound, s ≠ o, p not a geometry
+// predicate, and a filter reading ?o alone. Each case also answers the
+// same rows as the capability-less term-level source.
+func TestObjectsScanCases(t *testing.T) {
+	const scope = `FILTER( str(?at) = "2007-08-24T18:15:00" )`
+	cases := []struct {
+		name, query string
+		objects     bool
+	}{
+		{"scoped hotspots", `SELECT ?h ?c WHERE { ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at ; noa:hasConfidence ?c . ` + scope + ` }`, true},
+		{"range", `SELECT ?h WHERE { ?h noa:hasAcquisitionDateTime ?at FILTER( str(?at) >= "2007-08-24T18:16:00" ) }`, true},
+		{"nested opening group", `SELECT ?h WHERE { { ?h noa:hasAcquisitionDateTime ?at ` + scope + ` } }`, true},
+		{"subject bound by the outer group", `SELECT ?h WHERE { ?h a noa:Hotspot . { ?h noa:hasAcquisitionDateTime ?at ` + scope + ` } }`, false},
+		{"subject bound in OPTIONAL", `SELECT ?h ?at WHERE { ?h a noa:Hotspot OPTIONAL { ?h noa:hasAcquisitionDateTime ?at ` + scope + ` } }`, false},
+		{"geometry predicate", `SELECT ?h WHERE { ?h strdf:hasGeometry ?g FILTER( str(?g) = "POLYGON ((2 2, 3 2, 3 3, 2 3, 2 2))" ) }`, false},
+		{"subject is object", `SELECT ?x WHERE { ?x noa:hasAcquisitionDateTime ?x FILTER( isLiteral(?x) ) }`, false},
+		{"constant subject", `SELECT ?at WHERE { noa:Hotspot_land noa:hasAcquisitionDateTime ?at ` + scope + ` }`, false},
+		{"filter reads the subject", `SELECT ?h WHERE { ?h noa:hasAcquisitionDateTime ?at FILTER( str(?at) != str(?h) ) }`, false},
+		{"filter calls bound", `SELECT ?h WHERE { ?h noa:hasAcquisitionDateTime ?at FILTER( bound(?at) ) }`, false},
+	}
+	src, plain := idFixture{clcFixture()}, clcFixture()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			q := mustParse(t, tc.query)
+			plan, err := NewEvaluator(src).Explain(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := plan[strings.Index(plan, "join["):]
+			if got := strings.Contains(plan, "join[objects]"); got != tc.objects {
+				t.Fatalf("join[objects] chosen = %v, want %v:\n%s", got, tc.objects, plan)
+			}
+			if tc.objects && !strings.HasPrefix(first, "join[objects]") {
+				t.Fatalf("distinct-object scan does not open the plan:\n%s", plan)
+			}
+			plainPlan, err := NewEvaluator(plain).Explain(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(plainPlan, "join[objects]") {
+				t.Fatalf("join[objects] chosen without the capability:\n%s", plainPlan)
+			}
+			got, want := runSelectSrc(t, src, tc.query), runSelectSrc(t, plain, tc.query)
+			if g, w := renderResultGolden(got, false), renderResultGolden(want, false); g != w {
+				t.Fatalf("rows differ from the capability-less source:\n--- got ---\n%s--- want ---\n%s", g, w)
+			}
+			if tc.objects && len(want.Rows) == 0 {
+				t.Fatal("case answers no rows; the fixture does not exercise the scan")
+			}
+		})
 	}
 }

@@ -10,13 +10,15 @@
 #     single-store streaming drain, the purest view of per-batch cost.
 #   BenchmarkShardedQueries/single (internal/shard) — the join-heavy
 #     spatial workload on one store: scan + hash join + spatial filter,
-#     exercising the ID-native path end to end.
+#     exercising the ID-native path end to end. Its writer appends one
+#     product per completed query, so the writer's share is fixed too.
 #   BenchmarkFigure8DeleteInSea, BenchmarkFigure8InvalidForFires (root
 #     package) — the two refinement updates whose plans the planner's
 #     fan-out-last and exact-geometry-last rules shape. Both sit ~10x
 #     below their cost without those rules, so a plan regression (one
 #     R-tree probe per hotspot property, exact tests before the type
-#     joins) trips the gate.
+#     joins) trips the gate. InvalidForFires also sits ~2.5x below its
+#     cost without the distinct-object scan that opens its plan.
 #
 # Baselines are committed next to the package they measure and hold the
 # allocs/op of a -benchtime=3x run (short runs amortise plan compilation
